@@ -8,9 +8,10 @@ Our columns are 64-bit integers (the paper's experiments use 8-byte longs
 for every column). The order-preserving trick is the standard sign-flip:
 ``uint64(x) ^ 2^63`` maps signed int64 order onto unsigned order, and a
 big-endian byte dump of a uint64 compares bytewise exactly like the
-integer. Vectorized numpy equivalents are used everywhere internally;
-``key_bytes`` materializes the actual memcmp string and is used by tests
-to prove the equivalence.
+integer. :func:`memcmp_keys` dumps whole key columns that way, one
+fixed-width byte string per row, and the search kernel binary-searches
+those strings; ``key_bytes`` is its scalar form, used by tests to prove
+that bytewise order equals tuple order.
 
 beginTS is sorted *descending* (paper §4.2: "to facilitate the access of
 more recent versions"): we encode it as the bitwise complement so that a
@@ -56,15 +57,14 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def hash_columns(cols: list[np.ndarray]) -> np.ndarray:
+def hash_columns(cols: list[np.ndarray], n: int = 0) -> np.ndarray:
     """64-bit hash of the equality-column values (paper §4.1).
 
     Combines one splitmix64 round per column; with zero equality columns
-    (pure range index) returns an all-zeros hash column so the physical
+    (pure range index) returns ``n`` zeros, one per row, so the physical
     layout is uniform.
     """
     if not cols:
-        n = 0 if not cols else len(cols[0])
         return np.zeros(n, dtype=np.uint64)
     h = np.zeros(len(cols[0]), dtype=np.uint64)
     for c in cols:
@@ -74,17 +74,24 @@ def hash_columns(cols: list[np.ndarray]) -> np.ndarray:
 
 def hash_scalar(values: tuple[int, ...]) -> int:
     """Hash of a single equality-key tuple (query-side probe)."""
-    if not values:
-        return 0
     arrs = [np.asarray([v], dtype=np.int64) for v in values]
-    return int(hash_columns(arrs)[0])
+    return int(hash_columns(arrs, 1)[0])
 
 
 def key_bytes(*ordered_u64_parts: int) -> bytes:
     """Concatenated big-endian dump — the actual memcmp-comparable key.
 
-    Used by tests to prove bytewise comparison equals columnwise
-    comparison; the engine itself compares numpy uint64 tuples, which is
-    equivalent for fixed-width big-endian parts.
+    The scalar form of :func:`memcmp_keys`, used by tests to prove
+    bytewise comparison equals columnwise comparison.
     """
     return b"".join(int(p).to_bytes(8, "big") for p in ordered_u64_parts)
+
+
+def memcmp_keys(cols: list[np.ndarray]) -> np.ndarray:
+    """Row-wise :func:`key_bytes` of equal-length uint64 columns, as a
+    fixed-width bytes array: numpy orders it bytewise, so one
+    ``np.searchsorted`` over it is a lexicographic search on the tuples."""
+    out = np.empty((len(cols[0]), len(cols)), dtype=">u8")
+    for i, c in enumerate(cols):
+        out[:, i] = c
+    return out.view(f"S{8 * len(cols)}").ravel()

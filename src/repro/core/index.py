@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.merge import MergeEvent, MergePolicy
-from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec, MemorySource
+from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle, ZoneList
 from repro.storage.cache import BlockSource, CacheManager
 
@@ -227,18 +227,9 @@ class UmziIndex:
         visible_groomed = tuple(h for h in groomed if h.gbid_hi > covered)
         return QuerySnapshot(covered_gbid=covered, runs=visible_groomed + pg)
 
-    def source_for(self, run: IndexRun):
-        """Entry source for a run: memory fast path when the run's blocks
-        are (simulated-)memory-resident or no hierarchy is attached, else
-        block-by-block through the cache (§7)."""
-        if self.cache is None:
-            return MemorySource(run.cols)
-        try:
-            st = self.cache.state(run.run_id)
-        except KeyError:
-            return MemorySource(run.cols)
-        if st.local == "mem":
-            return MemorySource(run.cols)
+    def source_for(self, run: IndexRun) -> BlockSource:
+        """Per-query block reader of a run (§7): through the cache when a
+        hierarchy is attached, else over the run's resident blocks."""
         return BlockSource(self.cache, run)
 
     # ------------------------------------------------------- cache management

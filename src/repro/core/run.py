@@ -13,12 +13,16 @@ All ordering columns are kept in order-preserving uint64 encodings
 exactly the paper's order — hash, equality columns, sort columns, and
 *descending* beginTS (the timestamp is stored complemented).
 
-Single-run search narrows the candidate range with the offset array
-(most-significant ``hash_bits`` of the probe hash), then binary-searches
-the concatenated bound, iterates to the upper bound, filters
-``beginTS <= queryTS``, and keeps the first (= most recent) entry per key
-— the worked example of Fig. 2 in the paper is test-encoded in
-``tests/test_run_search.py``.
+Every search — a range scan's bounds, a point lookup, a batch of point
+lookups — goes through one kernel, ``IndexRun._locate``: the offset array
+(most-significant ``hash_bits`` of each probe hash) gives the initial
+row range, the data blocks are binary-searched, and one vectorized
+``np.searchsorted`` over the rows' memcmp keys places all pending probes.
+Rows are read only through a per-query ``BlockSource``
+(:mod:`repro.storage.cache`), which reads each data block once. A range
+scan then filters ``beginTS <= queryTS`` and keeps the first (= most
+recent) entry per key — the worked example of Fig. 2 in the paper is
+test-encoded in ``tests/test_run_search.py``.
 """
 from __future__ import annotations
 
@@ -26,16 +30,22 @@ import io
 import json
 import uuid
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core import encoding as enc
+
+if TYPE_CHECKING:
+    from repro.storage.cache import BlockSource
 
 GROOMED = "groomed"
 POSTGROOMED = "postgroomed"
 
 # RID zone codes (paper footnote 2: an RID = zone + block ID + offset).
 ZONE_CODES = {GROOMED: 0, POSTGROOMED: 1}
+
+_U64_MAX = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True)
@@ -98,67 +108,49 @@ class IndexSpec:
         )
 
 
-class EntrySource:
-    """Random access to one run's (encoded) entries.
-
-    Queries read through a source so that the same search code serves
-    memory-resident runs and SSD/shared-storage block-backed runs; the
-    block-backed source fetches whole data blocks on demand (paper §7:
-    "the entire run data block is transferred at a time").
-    """
-
-    n_entries: int
-
-    def value_at(self, fld: str, i: int) -> int:
-        raise NotImplementedError
-
-    def slice(self, fld: str, a: int, b: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class MemorySource(EntrySource):
-    """Entries fully resident as numpy columns."""
-
-    def __init__(self, cols: dict[str, np.ndarray]):
-        self.cols = cols
-        self.n_entries = 0 if not cols else len(next(iter(cols.values())))
-
-    def value_at(self, fld: str, i: int) -> int:
-        return int(self.cols[fld][i])
-
-    def slice(self, fld: str, a: int, b: int) -> np.ndarray:
-        return self.cols[fld][a:b]
-
-
-def _bsearch(src: EntrySource, fld: str, a: int, b: int, value: int, side: str) -> int:
-    """Binary search for ``value`` in ``src[fld][a:b]`` (sorted ascending).
-
-    Returns the leftmost ('left') or rightmost+1 ('right') position, like
-    ``np.searchsorted`` but through the block-fetching source.
-    """
-    v = int(value)
-    lo, hi = a, b
-    while lo < hi:
-        mid = (lo + hi) // 2
-        x = src.value_at(fld, mid)
-        if x < v or (side == "right" and x == v):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _narrow_eq(src: EntrySource, fld: str, a: int, b: int, value: int) -> tuple[int, int]:
-    """Narrow [a,b) to the rows where ``fld == value``."""
-    if isinstance(src, MemorySource):
-        col = src.cols[fld]
-        na = a + int(np.searchsorted(col[a:b], np.uint64(value), side="left"))
-        nb = a + int(np.searchsorted(col[a:b], np.uint64(value), side="right"))
-        return na, nb
+def key_fields(spec: IndexSpec) -> tuple[str, ...]:
+    """The fields that order a run: hash, equality, sort columns, then
+    inverted beginTS — newest version of a key first (§4.2)."""
     return (
-        _bsearch(src, fld, a, b, value, "left"),
-        _bsearch(src, fld, a, b, value, "right"),
+        ("h",)
+        + tuple(f"k{i}" for i in range(len(spec.eq_cols)))
+        + tuple(f"s{i}" for i in range(len(spec.sort_cols)))
+        + ("t",)
     )
+
+
+def encode_keys(eq: list, sort: list, n: int) -> list[np.ndarray]:
+    """Order-encoded key columns ``[h, eq…, sort…]`` of ``n`` rows from
+    raw int64 equality and sort columns (§4.2)."""
+    eq = [np.asarray(c, np.int64) for c in eq]
+    return (
+        [enc.hash_columns(eq, n)]
+        + [enc.to_ordered_u64(c) for c in eq]
+        + [enc.to_ordered_u64(np.asarray(c, np.int64)) for c in sort]
+    )
+
+
+def result_names(spec: IndexSpec) -> list[str]:
+    """The user-facing columns of a query result, in order."""
+    return (
+        list(spec.eq_cols)
+        + list(spec.sort_cols)
+        + ["begin_ts", "rid_zone", "rid_block", "rid_off"]
+        + list(spec.include_cols)
+    )
+
+
+def _ts_key(query_ts: int) -> np.uint64:
+    """``query_ts`` encoded like a run's ``t`` column (order-encoded, then
+    inverted): a version is visible at ``query_ts`` iff its ``t`` is >=
+    this."""
+    return np.uint64((1 << 63) - 1 - query_ts)
+
+
+def _resident(run: IndexRun) -> BlockSource:
+    from repro.storage.cache import BlockSource  # storage.cache imports this module
+
+    return BlockSource(None, run)
 
 
 class IndexRun:
@@ -189,6 +181,7 @@ class IndexRun:
         self.synopsis = synopsis
         self.ancestors = tuple(ancestors)
         self.n_entries = 0 if not cols else len(next(iter(cols.values())))
+        self.key_fields = key_fields(spec)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -224,13 +217,10 @@ class IndexRun:
 
         eq_arrays = [np.asarray(eq[c], dtype=np.int64) for c in spec.eq_cols]
         sort_arrays = [np.asarray(sorts[c], dtype=np.int64) for c in spec.sort_cols]
-        h = enc.hash_columns(eq_arrays) if spec.eq_cols else np.zeros(n, np.uint64)
-
-        cols: dict[str, np.ndarray] = {"h": h}
-        for i, a in enumerate(eq_arrays):
-            cols[f"k{i}"] = enc.to_ordered_u64(a)
-        for i, a in enumerate(sort_arrays):
-            cols[f"s{i}"] = enc.to_ordered_u64(a)
+        order_fields = key_fields(spec)
+        cols: dict[str, np.ndarray] = dict(
+            zip(order_fields, encode_keys(eq_arrays, sort_arrays, n))
+        )
         cols["t"] = enc.invert_ts(enc.to_ordered_u64(np.asarray(begin_ts, np.int64)))
         cols["z"] = np.asarray(rid_zone, dtype=np.uint64)
         cols["b"] = np.asarray(rid_block, dtype=np.uint64)
@@ -238,12 +228,6 @@ class IndexRun:
         for i, c in enumerate(spec.include_cols):
             cols[f"i{i}"] = enc.to_ordered_u64(np.asarray(includes[c], np.int64))
 
-        order_fields = (
-            ["h"]
-            + [f"k{i}" for i in range(len(spec.eq_cols))]
-            + [f"s{i}" for i in range(len(spec.sort_cols))]
-            + ["t"]
-        )
         # np.lexsort sorts by the *last* key first → reverse priority order.
         perm = np.lexsort([cols[f] for f in reversed(order_fields)])
         cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
@@ -304,19 +288,14 @@ class IndexRun:
         cols = {
             f: np.concatenate([r.cols[f] for r in runs]) for f in spec.fields
         }
-        order_fields = (
-            ["h"]
-            + [f"k{i}" for i in range(len(spec.eq_cols))]
-            + [f"s{i}" for i in range(len(spec.sort_cols))]
-            + ["t"]
-        )
+        order_fields = key_fields(spec)
         perm = np.lexsort([cols[f] for f in reversed(order_fields)])
         cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
         n = len(perm)
         if n:
             dup = np.ones(n, dtype=bool)
             same = np.ones(n - 1, dtype=bool)
-            for f in order_fields + ["z", "b", "o"]:
+            for f in order_fields + ("z", "b", "o"):
                 same &= cols[f][1:] == cols[f][:-1]
             dup[1:] = ~same
             if not dup.all():
@@ -382,13 +361,91 @@ class IndexRun:
         return True
 
     # ----------------------------------------------------------------- search
+    def _locate(
+        self, src: BlockSource, keys: list[np.ndarray], right: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The search kernel (§7.1.1): ``np.searchsorted(run, probes)`` for
+        probe tuples over a prefix of :func:`key_fields` (``keys``, one
+        column per field), with ``side='right'`` for the probes flagged in ``right``
+        and ``'left'`` for the others, reading only the data blocks the
+        search touches. Also returns the end of each probe's hash bucket.
+
+        The offset array bounds each probe to the rows whose hash shares
+        its top ``hash_bits`` (§4.2), its bucket. A bucket spanning several
+        blocks is bisected on the blocks' first keys, one block per step,
+        so a probe reads at most ⌈log₂B⌉ + 1 of B blocks. One
+        ``searchsorted`` over the memcmp keys of each remaining block then
+        places all of its probes; ``src`` reads each block once however
+        many probes touch it (§8.3.2).
+        """
+        br = self.spec.block_rows
+        fields = self.key_fields[: len(keys)]
+        probe = enc.memcmp_keys(keys)
+        ends = np.concatenate((self.offset_array, [self.n_entries]))
+        top = (keys[0] >> np.uint64(64 - self.spec.hash_bits)).astype(np.intp)
+        a, b = ends[top], ends[top + 1]
+        pos = a.copy()  # an empty bucket is its own insertion point
+        live = np.flatnonzero(a < b)
+        lo, hi = a[live] // br, (b[live] - 1) // br
+        while True:
+            act = np.flatnonzero(lo < hi)
+            if not len(act):
+                break
+            mid = (lo[act] + hi[act] + 1) // 2
+            heads = src.take(mid * br, fields)
+            first = enc.memcmp_keys([heads[f] for f in fields])
+            p = probe[live[act]]
+            before = (first > p) | ((first == p) & ~right[live[act]])
+            lo[act] = np.where(before, lo[act], mid)
+            hi[act] = np.where(before, mid - 1, hi[act])
+        for j in np.unique(lo).tolist():
+            g = live[lo == j]
+            r0 = max(int(a[g].min()), j * br)
+            r1 = min(int(b[g].max()), (j + 1) * br)
+            blk = src.block(j)
+            rows = enc.memcmp_keys([blk[f][r0 - j * br : r1 - j * br] for f in fields])
+            pos[g] = r0 + np.searchsorted(rows, probe[g], "left")
+            g = g[right[g]]
+            if len(g):
+                pos[g] = r0 + np.searchsorted(rows, probe[g], "right")
+        return pos, b
+
+    def probe(
+        self, keys: list[np.ndarray], query_ts: int, source: BlockSource | None = None
+    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """§7.2 — the most recent version visible at ``query_ts`` of each
+        full key; ``keys`` are its :func:`encode_keys` columns.
+
+        Returns the decoded rows, one per distinct key found, and the mask
+        of the probes found.
+        """
+        if len(keys) != len(self.key_fields) - 1:
+            raise ValueError("a point lookup binds every key column (§7.2)")
+        n = len(keys[0])
+        if self.n_entries == 0:
+            return self._empty_result(), np.zeros(n, dtype=bool)
+        src = source or _resident(self)
+        # Versions of a key run newest-first, so the first row at or after
+        # (key, query_ts) is the latest visible one — if it has the key.
+        ts = np.full(n, _ts_key(query_ts), np.uint64)
+        pos, end = self._locate(src, keys + [ts], np.zeros(n, dtype=bool))
+        cand = np.flatnonzero(pos < end)
+        sub = src.take(pos[cand], self.key_fields[:-1])
+        hit = np.zeros(n, dtype=bool)
+        hit[cand] = np.logical_and.reduce(
+            [sub[f] == k[cand] for f, k in zip(self.key_fields, keys)]
+        )
+        if not hit.any():
+            return self._empty_result(), hit
+        return self._decode(src.take(np.unique(pos[hit]))), hit
+
     def search(
         self,
         eq_values: tuple[int, ...] | None,
         sort_lo: tuple[int, ...] | None,
         sort_hi: tuple[int, ...] | None,
         query_ts: int,
-        source: EntrySource | None = None,
+        source: BlockSource | None = None,
     ) -> dict[str, np.ndarray]:
         """§7.1.1 — most recent visible version per key within this run.
 
@@ -398,52 +455,27 @@ class IndexRun:
         ``beginTS > query_ts`` are invisible.
         """
         spec = self.spec
-        src = source or MemorySource(self.cols)
-        n = src.n_entries
-        if n == 0:
+        if spec.eq_cols and (eq_values is None or len(eq_values) != len(spec.eq_cols)):
+            raise ValueError("all equality columns must be specified (§7)")
+        if self.n_entries == 0:
             return self._empty_result()
-        a, b = 0, n
+        src = source or _resident(self)
 
-        if spec.eq_cols:
-            if eq_values is None or len(eq_values) != len(spec.eq_cols):
-                raise ValueError("all equality columns must be specified (§7)")
-            hval = enc.hash_scalar(tuple(int(v) for v in eq_values))
-            # Offset array: initial range from the top hash_bits of the probe.
-            top = hval >> (64 - spec.hash_bits)
-            a = int(self.offset_array[top])
-            b = (
-                int(self.offset_array[top + 1])
-                if top + 1 < len(self.offset_array)
-                else n
-            )
-            a, b = _narrow_eq(src, "h", a, b, hval)
-            for i, v in enumerate(eq_values):
-                ev = int(enc.to_ordered_u64(np.asarray([v], np.int64))[0])
-                a, b = _narrow_eq(src, f"k{i}", a, b, ev)
-                if a >= b:
-                    return self._empty_result()
-        if a >= b:
-            return self._empty_result()
+        # Two probes on the prefix (hash, eq…, s0): the lower bound (side
+        # 'left') and the upper bound (side 'right'); an unbounded side
+        # takes s0's extreme value.
+        def s0(bound, pad):
+            if bound is None:
+                return pad
+            return enc.to_ordered_u64(np.asarray(bound[:1], np.int64))[0]
 
+        keys = encode_keys([[v, v] for v in eq_values or ()], [], 2)
         if spec.sort_cols:
-            if sort_lo is not None:
-                lov = int(enc.to_ordered_u64(np.asarray([sort_lo[0]], np.int64))[0])
-                a = (
-                    a + int(np.searchsorted(src.cols["s0"][a:b], np.uint64(lov), "left"))
-                    if isinstance(src, MemorySource)
-                    else _bsearch(src, "s0", a, b, lov, "left")
-                )
-            if sort_hi is not None:
-                hiv = int(enc.to_ordered_u64(np.asarray([sort_hi[0]], np.int64))[0])
-                b = (
-                    a + int(np.searchsorted(src.cols["s0"][a:b], np.uint64(hiv), "right"))
-                    if isinstance(src, MemorySource)
-                    else _bsearch(src, "s0", a, b, hiv, "right")
-                )
+            keys.append(np.asarray([s0(sort_lo, 0), s0(sort_hi, _U64_MAX)], np.uint64))
+        (a, b), _end = self._locate(src, keys, np.asarray([False, True]))
         if a >= b:
             return self._empty_result()
-
-        sub = {f: src.slice(f, a, b) for f in spec.fields}
+        sub = src.slice(a, b)
 
         # Remaining sort columns (beyond s0) get an exact tuple filter.
         if len(spec.sort_cols) > 1 and (sort_lo is not None or sort_hi is not None):
@@ -456,24 +488,18 @@ class IndexRun:
                     keep &= col <= int(sort_hi[i])
             sub = {f: v[keep] for f, v in sub.items()}
 
-        # Timestamp predicate: beginTS <= queryTS ⇔ inverted-ts >= inv(qts).
-        tq = int(
-            enc.invert_ts(enc.to_ordered_u64(np.asarray([query_ts], np.int64)))[0]
-        )
-        keep = sub["t"] >= np.uint64(tq)
+        keep = sub["t"] >= _ts_key(query_ts)
         sub = {f: v[keep] for f, v in sub.items()}
         m = len(sub["t"])
         if m == 0:
             return self._empty_result()
 
         # First entry per key == most recent visible version (ts sorted desc).
-        key_fields = [f"k{i}" for i in range(len(spec.eq_cols))] + [
-            f"s{i}" for i in range(len(spec.sort_cols))
-        ]
+        key_cols = self.key_fields[1:-1]
         first = np.ones(m, dtype=bool)
-        if m > 1 and key_fields:
+        if m > 1 and key_cols:
             same = np.ones(m - 1, dtype=bool)
-            for f in key_fields:
+            for f in key_cols:
                 same &= sub[f][1:] == sub[f][:-1]
             first[1:] = ~same
         sub = {f: v[first] for f, v in sub.items()}
@@ -484,15 +510,18 @@ class IndexRun:
         eq_values: tuple[int, ...] | None,
         sort_values: tuple[int, ...] | None,
         query_ts: int,
-        source: EntrySource | None = None,
+        source: BlockSource | None = None,
     ) -> dict[str, np.ndarray]:
-        """Point lookup: full key, ≤ 1 entry (§7.2) — a degenerate range
-        scan where the sort lower and upper bounds coincide."""
-        return self.search(eq_values, sort_values, sort_values, query_ts, source)
+        """Point lookup: full key, ≤ 1 entry (§7.2) — :meth:`probe` with
+        one probe."""
+        keys = encode_keys(
+            [[v] for v in eq_values or ()], [[v] for v in sort_values or ()], 1
+        )
+        return self.probe(keys, query_ts, source)[0]
 
     # ----------------------------------------------------------------- decode
     def _empty_result(self) -> dict[str, np.ndarray]:
-        return self._decode({f: np.empty(0, np.uint64) for f in self.spec.fields})
+        return {c: np.empty(0, np.int64) for c in result_names(self.spec)}
 
     def _decode(self, sub: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Encoded internal fields → user-facing named int64 columns."""

@@ -29,8 +29,9 @@ def _timeit(fn, repeats: int = 3) -> float:
     """Best of N of (compute wall clock + virtual SSD block-read time).
 
     The virtual component models the paper's setup where every run is
-    cached on the local SSD and queries pay one read per index data block
-    touched (amortized within a batch) — see query._charge_virtual_blocks.
+    cached on the local SSD: the runs here have no hierarchy, so each
+    query's ``BlockSource`` charges one SSD read per data block it reads,
+    once per block within a batch (storage/cache.py).
     """
     best = float("inf")
     for _ in range(repeats):

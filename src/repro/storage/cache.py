@@ -11,9 +11,10 @@ Responsibilities, mapped to the paper:
   Purging a run drops its data blocks from the local tiers but keeps the
   header block "for queries to locate data blocks". New runs below the
   cached level are written through to the SSD cache.
-* **Miss path** (§7): a query touching a purged run transfers data blocks
-  shared → SSD one block at a time, leaving them cached; ``release_query``
-  drops per-query decoded blocks.
+* **Query reads** (§7): every query reads a run's data blocks through one
+  :class:`BlockSource`, which reads each block once per query and drops
+  them when the query ends. A block of a purged run is transferred
+  shared → SSD on its first read and stays cached.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.run import EntrySource, IndexRun, IndexSpec
-from repro.storage.tiers import StorageHierarchy
+from repro.core.run import IndexRun
+from repro.storage.tiers import SSD_LATENCY, StorageHierarchy, charge_capture
 
 
 def _header_key(run_id: str) -> str:
@@ -169,46 +170,66 @@ class CacheManager:
         return IndexRun.from_header_and_blocks(header, blocks)
 
 
-class BlockSource(EntrySource):
-    """Query-side entry source reading data blocks through the cache.
+class BlockSource:
+    """One query's reader of one run's data blocks — the only way the
+    search kernel (``IndexRun.search``/``probe``) reaches entries.
 
-    Decoded blocks are held only for the lifetime of this source (one
-    query), matching §7: "after the query is finished, the cached data
-    blocks are released".
+    A block is read once per source, on first touch: through
+    :meth:`CacheManager.read_block` when the run lives in a hierarchy
+    (any tier, mem included), or — for a run with no hierarchy, whose
+    blocks are already resident — from the run's own columns, charged to
+    ``capture_io`` as one SSD read: §8.3 runs every query with the runs
+    cached on the local SSD. The blocks read are released with the source
+    when the query ends (§7).
     """
 
-    def __init__(self, cache: CacheManager, run: IndexRun):
+    def __init__(self, cache: CacheManager | None, run: IndexRun):
         self.cache = cache
         self.run = run
-        self.spec: IndexSpec = run.spec
-        self.n_entries = run.n_entries
-        self._decoded: dict[int, dict[str, np.ndarray]] = {}
+        self.fields = run.spec.fields
+        self._blocks: dict[int, dict[str, np.ndarray]] = {}
 
-    def _block(self, bi: int) -> dict[str, np.ndarray]:
-        blk = self._decoded.get(bi)
+    def block(self, bi: int) -> dict[str, np.ndarray]:
+        """Every field of block ``bi``, read on this source's first touch."""
+        blk = self._blocks.get(bi)
         if blk is None:
-            rows = min(
-                self.spec.block_rows,
-                self.n_entries - bi * self.spec.block_rows,
-            )
-            blk = IndexRun.decode_block(
-                self.spec, self.cache.read_block(self.run.run_id, bi), rows
-            )
-            self._decoded[bi] = blk
+            a = bi * self.run.spec.block_rows
+            rows = min(self.run.spec.block_rows, self.run.n_entries - a)
+            if self.cache is None:
+                blk = {f: col[a : a + rows] for f, col in self.run.cols.items()}
+                charge_capture("ssd", rows * 8 * len(blk), SSD_LATENCY)
+            else:
+                data = self.cache.read_block(self.run.run_id, bi)
+                blk = IndexRun.decode_block(self.run.spec, data, rows)
+            self._blocks[bi] = blk
         return blk
 
-    def value_at(self, fld: str, i: int) -> int:
-        br = self.spec.block_rows
-        return int(self._block(i // br)[fld][i % br])
+    def slice(self, a: int, b: int) -> dict[str, np.ndarray]:
+        """Every field of the rows [a, b)."""
+        br = self.run.spec.block_rows
+        parts = [
+            (self.block(bi), max(a - bi * br, 0), min(b - bi * br, br))
+            for bi in range(a // br, (b - 1) // br + 1)
+        ]
+        return {
+            f: np.concatenate([blk[f][lo:hi] for blk, lo, hi in parts])
+            for f in self.fields
+        }
 
-    def slice(self, fld: str, a: int, b: int) -> np.ndarray:
-        if a >= b:
-            return np.empty(0, np.uint64)
-        br = self.spec.block_rows
-        parts = []
-        for bi in range(a // br, (b - 1) // br + 1):
-            blk = self._block(bi)[fld]
-            lo = max(a - bi * br, 0)
-            hi = min(b - bi * br, len(blk))
-            parts.append(blk[lo:hi])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def take(self, rows: np.ndarray, fields=None) -> dict[str, np.ndarray]:
+        """``fields`` (default: all) at the row positions ``rows``."""
+        fields = fields or self.fields
+        br = self.run.spec.block_rows
+        blocks = rows // br
+        touched = np.unique(blocks).tolist()
+        parts = [self.block(bi) for bi in touched]
+        if self.cache is None:  # resident blocks are slices of the run's columns
+            return {f: self.run.cols[f][rows] for f in fields}
+        if len(parts) == 1:
+            return {f: parts[0][f][rows - touched[0] * br] for f in fields}
+        out = {f: np.empty(len(rows), np.uint64) for f in fields}
+        for bi, blk in zip(touched, parts):
+            at = blocks == bi
+            for f in fields:
+                out[f][at] = blk[f][rows[at] - bi * br]
+        return out

@@ -51,6 +51,14 @@ def capture_io() -> IOCapture:
     return IOCapture()
 
 
+def charge_capture(tier: str, nbytes: int, latency: TierLatency) -> None:
+    """Charge one read to this thread's ``capture_io`` scope, if any."""
+    cap = _CAPTURE.get()
+    if cap is not None:
+        cap.seconds += latency.cost(nbytes)
+        cap.reads[tier] += 1
+
+
 @dataclass(frozen=True)
 class TierLatency:
     """Access-cost model for one tier: ``seek_s + len(bytes) * per_byte_s``."""
@@ -87,10 +95,7 @@ class IOStats:
             self.reads[tier] += 1
             self.bytes_read[tier] += nbytes
             self.simulated_seconds += latency.cost(nbytes)
-        cap = _CAPTURE.get()
-        if cap is not None:
-            cap.seconds += latency.cost(nbytes)
-            cap.reads[tier] += 1
+        charge_capture(tier, nbytes, latency)
 
     def charge_write(self, tier: str, nbytes: int, latency: TierLatency) -> None:
         with self._lock:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.run import GROOMED, IndexRun, IndexSpec
-from repro.storage import CacheManager, StorageHierarchy
+from repro.storage import CacheManager, StorageHierarchy, capture_io
 from repro.storage.cache import BlockSource, _block_key, _header_key
 
 SPEC = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=4, block_rows=8)
@@ -141,16 +141,17 @@ def test_block_source_slice_spans_blocks(cm, a, b):
     run = mkrun(n=50)
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm, run)
-    got = src.slice("h", a, b)
-    assert (got == run.cols["h"][a:b]).all()
+    got = src.slice(a, b)
+    for f in SPEC.fields:
+        assert (got[f] == run.cols[f][a:b]).all()
 
 
-def test_block_source_value_at(cm):
+def test_block_source_take_rows(cm):
     run = mkrun(n=50)
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm, run)
-    for i in (0, 7, 8, 9, 49):
-        assert src.value_at("t", i) == int(run.cols["t"][i])
+    rows = np.asarray([49, 0, 7, 8, 9, 8])  # any order, repeats allowed
+    assert (src.take(rows)["t"] == run.cols["t"][rows]).all()
 
 
 def test_block_source_caches_blocks_per_query(cm):
@@ -158,10 +159,21 @@ def test_block_source_caches_blocks_per_query(cm):
     cm.write_run(run, persisted=True, cache_tier="ssd")
     src = BlockSource(cm, run)
     cm.h.stats.reset()
-    src.value_at("h", 0)
-    src.value_at("h", 1)  # same block: no second tier read
+    src.take(np.asarray([0]))
+    src.take(np.asarray([1]))  # same block: no second tier read
     assert cm.h.stats.snapshot()["reads"]["ssd"] == 1
     # a new source (new query) re-reads — blocks were released (§7)
     src2 = BlockSource(cm, run)
-    src2.value_at("h", 0)
+    src2.take(np.asarray([0]))
     assert cm.h.stats.snapshot()["reads"]["ssd"] == 2
+
+
+def test_resident_source_charges_one_ssd_read_per_block():
+    """A run with no hierarchy: blocks are already resident, and the first
+    touch of each costs one virtual SSD read (§8.3), counted once."""
+    run = mkrun(n=50)
+    with capture_io() as cap:
+        src = BlockSource(None, run)
+        src.take(np.asarray([0, 1, 9]))
+        src.take(np.asarray([2, 10]))
+    assert cap.reads == {"mem": 0, "ssd": 2, "shared": 0}

@@ -8,13 +8,14 @@ from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.run import GROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle
+from repro.storage import CacheManager, StorageHierarchy, capture_io
 
 SPEC = IndexSpec(eq_cols=("k",), sort_cols=("s",), include_cols=("v",), hash_bits=5, block_rows=64)
 
 
-def build_workload(n_runs=8, per_run=150, key_space=40, sort_space=20, seed=0):
+def build_workload(n_runs=8, per_run=150, key_space=40, sort_space=20, seed=0, cache=None):
     """Multi-run index with heavy key overlap (updates across runs)."""
-    ix = UmziIndex(SPEC, UmziConfig(K=100, T=2))  # no merging: keep runs
+    ix = UmziIndex(SPEC, UmziConfig(K=100, T=2), cache)  # no merging: keep runs
     frames = []
     for gb in range(n_runs):
         g = np.random.default_rng(seed * 1000 + gb)
@@ -88,19 +89,67 @@ def test_point_lookup_matches_scan(seed):
 
 @pytest.mark.parametrize("batch", [1, 17, 200])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_batch_lookup_matches_point_lookups(batch, seed):
-    ix, df = build_workload(seed=seed)
+def test_batch_lookup_matches_point_lookups(batch, seed, tmp_path):
     g = np.random.default_rng(seed + 99)
     ks = g.integers(0, 40, batch).astype(np.int64)
     ss = g.integers(0, 20, batch).astype(np.int64)
-    res = q.batch_lookup(ix, [ks], [ss], 2**62)
-    got = {(int(k), int(s)): int(t) for k, s, t in zip(res["k"], res["s"], res["begin_ts"])}
-    for kv, sv in set(zip(ks.tolist(), ss.tolist())):
-        single = q.point_lookup(ix, (kv,), (sv,), 2**62)
-        if single is None:
-            assert (kv, sv) not in got
-        else:
-            assert got[(kv, sv)] == single["begin_ts"]
+    # every probe key again, plus the first one a third time
+    ks, ss = np.concatenate([ks, ks, ks[:1]]), np.concatenate([ss, ss, ss[:1]])
+    for cache in (None, CacheManager(StorageHierarchy(str(tmp_path)))):
+        ix, df = build_workload(seed=seed, cache=cache)
+        res = q.batch_lookup(ix, [ks], [ss], 2**62)
+        got = {(int(k), int(s)): int(t) for k, s, t in zip(res["k"], res["s"], res["begin_ts"])}
+        assert len(got) == len(res["begin_ts"])  # one row per distinct key found
+        for kv, sv in set(zip(ks.tolist(), ss.tolist())):
+            single = q.point_lookup(ix, (kv,), (sv,), 2**62)
+            if single is None:
+                assert (kv, sv) not in got
+            else:
+                assert got[(kv, sv)] == single["begin_ts"]
+
+
+def test_batch_lookup_pure_range_index():
+    """No equality columns: the probes' hash column is all zeros."""
+    spec = IndexSpec(sort_cols=("s",), hash_bits=4, block_rows=4)
+    ix = UmziIndex(spec)
+    n = 20
+    ix.add_groomed_run(IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0, eq={},
+        sorts={"s": np.arange(n) * 3 % 17}, begin_ts=np.arange(n),
+        rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+    ))
+    res = q.batch_lookup(ix, [], [np.array([3, 7, 99])], 2**62)
+    assert sorted(zip(res["s"].tolist(), res["begin_ts"].tolist())) == [(3, 18), (7, 8)]
+
+
+def test_nonpersisted_level_reads_are_mem_tier_reads(tmp_path):
+    """One I/O accounting (§6.1): a run in a non-persisted level is read
+    from the mem tier, and the query's capture agrees with IOStats."""
+    cache = CacheManager(StorageHierarchy(str(tmp_path)))
+    cfg = UmziConfig(K=2, T=2, nonpersisted_levels=frozenset({1}))
+    ix = UmziIndex(SPEC, cfg, cache)
+    for gb in range(2):  # K=2: the two level-0 runs merge into one level-1 run
+        n = 100
+        g = np.random.default_rng(gb)
+        ix.add_groomed_run(IndexRun.build(
+            SPEC, zone=GROOMED, level=0, gbid_lo=gb, gbid_hi=gb,
+            eq={"k": g.integers(0, 40, n)}, sorts={"s": g.integers(0, 20, n)},
+            begin_ts=(gb << 16) + np.arange(n), rid_zone=np.zeros(n),
+            rid_block=np.full(n, gb), rid_off=np.arange(n), includes={"v": np.arange(n)},
+        ))
+        ix.maintain()
+    runs = ix.query_snapshot().runs
+    assert [h.level for h in runs] == [1]
+    assert cache.state(runs[0].run.run_id).local == "mem"
+    before = cache.h.stats.snapshot()["reads"]
+    with capture_io() as cap:
+        q.batch_lookup(ix, [np.arange(40)], [np.full(40, 3)], 2**62)
+        q.range_scan(ix, (5,), (0,), (19,), 2**62)
+        q.point_lookup(ix, (7,), (3,), 2**62)
+    after = cache.h.stats.snapshot()["reads"]
+    delta = {t: after[t] - before[t] for t in after}
+    assert cap.reads == delta
+    assert delta["mem"] > 0 and delta["ssd"] == delta["shared"] == 0
 
 
 def test_batch_lookup_with_timestamp():

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.run import GROOMED, IndexRun, IndexSpec, MemorySource
+from repro.core.run import GROOMED, IndexRun, IndexSpec
 
 
 def paper_fig2_run(block_rows=4):
@@ -181,22 +181,192 @@ def test_rid_decoding():
     assert (res["rid_zone"] == 0).all()
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 8])
-def test_block_source_equals_memory_source(block_rows, tmp_path):
+# Index shapes of §8.1 over two key columns a, b — I1 = a | b, I2 = (a, b),
+# I3 = a alone, and a pure range index over (a, b) — with their block size.
+# Tiny blocks and buckets make most searches span several blocks.
+SHAPES = {
+    "I1": (("a",), ("b",), 3),
+    "I2": (("a", "b"), (), 7),
+    "I3": (("a",), (), 1),
+    "range": ((), ("a", "b"), 8),
+}
+
+
+def shaped_index(shape, source, tmp_path):
+    """Four overlapping runs; ``source`` picks where their blocks live:
+    resident (no hierarchy), SSD-cached, or purged to shared storage."""
+    from repro.core.index import UmziConfig, UmziIndex
+    from repro.storage import CacheManager, StorageHierarchy
+
+    eq_cols, sort_cols, block_rows = SHAPES[shape]
+    spec = IndexSpec(eq_cols=eq_cols, sort_cols=sort_cols, include_cols=("v",),
+                     hash_bits=2, block_rows=block_rows)
+    cache = None if source == "resident" else CacheManager(StorageHierarchy(str(tmp_path)))
+    ix = UmziIndex(spec, UmziConfig(K=100, T=2), cache)
+    frames = []
+    for gb in range(4):
+        g = np.random.default_rng(gb)
+        n = 60
+        df = pd.DataFrame({
+            "a": g.integers(0, 6, n), "b": g.integers(0, 5, n) if len(eq_cols + sort_cols) > 1 else 0,
+            "ts": (gb << 16) + np.arange(n), "v": g.integers(0, 10**6, n),
+        })
+        cols = {c: df[c].values for c in ("a", "b")}
+        ix.add_groomed_run(IndexRun.build(
+            spec, zone=GROOMED, level=0, gbid_lo=gb, gbid_hi=gb,
+            eq={c: cols[c] for c in eq_cols}, sorts={c: cols[c] for c in sort_cols},
+            begin_ts=df.ts.values, rid_zone=np.zeros(n), rid_block=np.full(n, gb),
+            rid_off=np.arange(n), includes={"v": df.v.values},
+        ))
+        frames.append(df.assign(gb=gb))
+    if source == "purged":
+        ix.apply_cache_level(-1)
+    return ix, pd.concat(frames, ignore_index=True), eq_cols, sort_cols
+
+
+def latest(df, key, qts):
+    """Pandas oracle: the newest version per key visible at ``qts``."""
+    d = df[df.ts <= qts].sort_values("ts").groupby(list(key)).last()
+    return {k if isinstance(k, tuple) else (k,): (r.ts, r.v) for k, r in d.iterrows()}
+
+
+def rows_of(res, key):
+    return {tuple(int(res[c][i]) for c in key): (int(res["begin_ts"][i]), int(res["v"][i]))
+            for i in range(len(res["begin_ts"]))}
+
+
+@pytest.mark.parametrize("source", ["resident", "ssd", "purged"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_sources_agree_with_oracle(shape, source, tmp_path):
+    from repro.core import query as q
+
+    ix, df, eq_cols, sort_cols = shaped_index(shape, source, tmp_path)
+    key = eq_cols + sort_cols
+    domain = [(a, b)[: len(key)] for a in range(-1, 8) for b in range(-1, 6)]
+    domain = sorted(set(domain))
+    for qts in (2**62, (2 << 16) + 30):
+        want = latest(df, key, qts)
+        # point_lookup and batch_lookup (with repeated probe keys)
+        for k in domain:
+            got = q.point_lookup(ix, k[: len(eq_cols)] or None, k[len(eq_cols):] or None, qts)
+            assert (got and (got["begin_ts"], got["v"])) == want.get(k), k
+        probes = domain + domain[::3]
+        cols = [np.asarray([p[i] for p in probes]) for i in range(len(key))]
+        res = q.batch_lookup(ix, cols[: len(eq_cols)], cols[len(eq_cols):], qts)
+        assert len(res["begin_ts"]) == len(rows_of(res, key))  # one row per key
+        assert rows_of(res, key) == {k: v for k, v in want.items() if k in set(domain)}
+        # range_scan (both reconciliations) and the per-run search
+        runs = ix.query_snapshot().runs
+        run_want = {h.run.run_id: latest(df[df.gb == h.run.gbid_lo], key, qts) for h in runs}
+        bounds = [(None, None)]
+        if sort_cols:
+            bounds += [((0,), (3,)), ((2,), (2,)), (None, (1,)), ((4,), None), ((3,), (1,))]
+        for eq in sorted({k[: len(eq_cols)] for k in domain}):
+            for lo, hi in bounds:
+
+                def inside(k):
+                    s = k[len(eq_cols)] if sort_cols else 0
+                    return (k[: len(eq_cols)] == eq and (lo is None or s >= lo[0])
+                            and (hi is None or s <= hi[0]))
+
+                exp = {k: v for k, v in want.items() if inside(k)}
+                for method in ("set", "pq"):
+                    res = q.range_scan(ix, eq or None, lo, hi, qts, method=method)
+                    assert rows_of(res, key) == exp, (eq, lo, hi, method)
+                for h in runs:
+                    res = h.run.search(eq or None, lo, hi, qts, source=ix.source_for(h.run))
+                    assert rows_of(res, key) == {
+                        k: v for k, v in run_want[h.run.run_id].items() if inside(k)
+                    }
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("block_rows", [1, 3, 16])
+def test_locate_equals_searchsorted(block_rows, side):
+    """The kernel is ``np.searchsorted`` over the whole run's memcmp keys,
+    also for probes equal to rows that straddle block boundaries."""
+    from repro.core import encoding as enc
+    from repro.core.run import key_fields
+    from repro.storage.cache import BlockSource
+
+    spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=1, block_rows=block_rows)
+    g = np.random.default_rng(block_rows)
+    n = 200
+    run = IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": g.integers(0, 3, n)}, sorts={"s": g.integers(0, 4, n)},
+        begin_ts=g.integers(0, 3, n), rid_zone=np.zeros(n), rid_block=np.zeros(n),
+        rid_off=np.arange(n),
+    )
+    fields = key_fields(spec)
+    rows = g.integers(0, n, 150)
+    keys = [np.concatenate([run.cols[f][rows], g.integers(0, 2**64 - 1, 50, dtype=np.uint64)])
+            for f in fields]
+    keys[0][150:] = run.cols["h"][g.integers(0, n, 50)]  # unseen tuples in real buckets
+    want = np.searchsorted(enc.memcmp_keys([run.cols[f] for f in fields]),
+                           enc.memcmp_keys(keys), side)
+    right = np.full(len(keys[0]), side == "right")
+    got, _end = run._locate(BlockSource(None, run), keys, right)
+    assert (got == want).all()
+
+
+def _counting_reads(monkeypatch, cm):
+    """Record every (run, block) the cache is asked for."""
+    seen = []
+    orig = cm.read_block
+
+    def read_block(run_id, i):
+        seen.append((run_id, i))
+        return orig(run_id, i)
+
+    monkeypatch.setattr(cm, "read_block", read_block)
+    return seen
+
+
+def test_lookup_reads_log_blocks(tmp_path, monkeypatch):
+    """A pure range index's candidate range is the whole run (B blocks);
+    each point lookup reads at most ⌈log₂B⌉ + 1 of them."""
     from repro.storage import CacheManager, StorageHierarchy
     from repro.storage.cache import BlockSource
 
-    spec, run = paper_fig2_run(block_rows=block_rows)
-    hier = StorageHierarchy(str(tmp_path))
-    cm = CacheManager(hier)
-    cm.write_run(run, persisted=True, cache_tier="none")
-    src = BlockSource(cm, run)
-    for dev in (1, 3, 4, 5, 8, 9):
-        for qts in (94, 100, 105):
-            a = run.search((dev,), (0,), (3,), qts)
-            b = run.search((dev,), (0,), (3,), qts, source=src)
-            assert a["begin_ts"].tolist() == b["begin_ts"].tolist()
-            assert a["msg"].tolist() == b["msg"].tolist()
+    spec = IndexSpec(sort_cols=("s",), hash_bits=4, block_rows=10)
+    n = 1000
+    s = np.random.default_rng(0).permutation(2 * n)[:n].astype(np.int64)
+    run = IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={}, sorts={"s": s}, begin_ts=np.arange(n), rid_zone=np.zeros(n),
+        rid_block=np.zeros(n), rid_off=np.arange(n),
+    )
+    cm = CacheManager(StorageHierarchy(str(tmp_path)))
+    cm.write_run(run, persisted=True, cache_tier="ssd")
+    seen = _counting_reads(monkeypatch, cm)
+    bound = int(np.ceil(np.log2(run.n_blocks))) + 1
+    for key in range(-1, 2 * n + 1, 7):
+        seen.clear()
+        res = run.lookup(None, (key,), 10**6, source=BlockSource(cm, run))
+        assert len(res["s"]) == int(key in set(s.tolist()))
+        assert len(seen) <= bound, key
+
+
+def test_batch_reads_each_touched_block_once(tmp_path, monkeypatch):
+    from repro.core import query as q
+    from repro.core.index import UmziIndex
+    from repro.storage import CacheManager, StorageHierarchy
+
+    spec = IndexSpec(eq_cols=("k",), sort_cols=("s",), hash_bits=3, block_rows=16)
+    cm = CacheManager(StorageHierarchy(str(tmp_path)))
+    ix = UmziIndex(spec, cache=cm)
+    g = np.random.default_rng(1)
+    n = 500
+    ix.add_groomed_run(IndexRun.build(
+        spec, zone=GROOMED, level=0, gbid_lo=0, gbid_hi=0,
+        eq={"k": g.integers(0, 50, n)}, sorts={"s": g.integers(0, 20, n)},
+        begin_ts=np.arange(n), rid_zone=np.zeros(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+    ))
+    seen = _counting_reads(monkeypatch, cm)
+    ks, ss = g.integers(0, 60, 400), g.integers(0, 20, 400)
+    q.batch_lookup(ix, [ks], [ss], 10**6)
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_two_sort_columns_tuple_filter():
