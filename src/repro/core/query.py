@@ -14,9 +14,13 @@ blocks that source reads.
 Reconciliation across runs is implemented both ways the paper describes
 (§7.1.2): the **set approach** (search newest→oldest, remember returned
 keys) and the **priority-queue approach** (k-way merge of per-run sorted
-results). Batched point lookups visit runs newest→oldest, searching each
-run once for all still-pending probes (§7.2); run-level synopsis pruning
-uses the batch's key envelope, which is what makes sequential batches
+results). The set approach's "set" is an array of the §4.2 memcmp keys
+returned so far, against which one vectorized membership test checks all
+of a run's rows; the priority queue merges entry by entry.
+
+Batched point lookups visit runs newest→oldest, searching each run once
+for all still-pending probes (§7.2); run-level synopsis pruning uses the
+batch's key envelope, which is what makes sequential batches
 much cheaper than random ones (Fig. 10 vs 11).
 """
 from __future__ import annotations
@@ -25,25 +29,27 @@ import heapq
 
 import numpy as np
 
+from repro.core import encoding as enc
 from repro.core.index import UmziIndex
-from repro.core.run import encode_keys, result_names
-
-
-def _empty(index: UmziIndex) -> dict[str, np.ndarray]:
-    return {c: np.empty(0, np.int64) for c in result_names(index.spec)}
+from repro.core.run import IndexSpec, encode_keys, result_names
 
 
 def _concat(index: UmziIndex, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    names = result_names(index.spec)
     if not parts:
-        return _empty(index)
-    return {
-        c: np.concatenate([p[c] for p in parts]) for c in result_names(index.spec)
-    }
+        return {c: np.empty(0, np.int64) for c in names}
+    return {c: np.concatenate([p[c] for p in parts]) for c in names}
 
 
 def _key_tuple(index: UmziIndex, res: dict[str, np.ndarray], i: int) -> tuple:
     s = index.spec
     return tuple(int(res[c][i]) for c in s.eq_cols + s.sort_cols)
+
+
+def row_keys(spec: IndexSpec, res: dict[str, np.ndarray], *extra: np.ndarray) -> np.ndarray:
+    """The §4.2 memcmp key of each result row: its order-encoded equality
+    and sort columns, then any ``extra`` uint64 columns."""
+    return enc.memcmp_keys([enc.to_ordered_u64(res[c]) for c in spec.key_cols] + list(extra))
 
 
 # ----------------------------------------------------------------- range scan
@@ -74,23 +80,19 @@ def range_scan(
 
 
 def _scan_set(index, candidates, eq_values, sort_lo, sort_hi, query_ts):
-    """Set approach: newest→oldest, keep first (= most recent) per key."""
-    seen: set[tuple] = set()
+    """Set approach: newest→oldest, keep first (= most recent) per key.
+    ``seen`` holds the memcmp keys returned so far; a run's result has one
+    row per key, so one ``np.isin`` and one mask keep its new keys' rows."""
+    seen = np.empty(0, f"S{8 * len(index.spec.key_cols)}")
     keep_parts: list[dict[str, np.ndarray]] = []
     for h in candidates:  # snapshot order is newest-first
         src = index.source_for(h.run)
         res = h.run.search(eq_values, sort_lo, sort_hi, query_ts, source=src)
-        n = len(res["begin_ts"])
-        if n == 0:
-            continue
-        mask = np.zeros(n, dtype=bool)
-        for i in range(n):
-            k = _key_tuple(index, res, i)
-            if k not in seen:
-                seen.add(k)
-                mask[i] = True
-        if mask.any():
-            keep_parts.append({c: v[mask] for c, v in res.items()})
+        keys = row_keys(index.spec, res)
+        new = ~np.isin(keys, seen, assume_unique=True)
+        if new.any():
+            keep_parts.append({c: v[new] for c, v in res.items()})
+            seen = np.concatenate((seen, keys[new]))
     return _concat(index, keep_parts)
 
 

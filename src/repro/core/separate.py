@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import encoding as enc
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.run import IndexRun, IndexSpec
@@ -62,14 +63,11 @@ class SeparateZoneIndexes:
     def query_correct(
         self, eq_values, sort_lo, sort_hi, query_ts: int
     ) -> dict[str, np.ndarray]:
-        """The extra per-query reconciliation a divided view forces."""
+        """The extra per-query reconciliation a divided view forces: the
+        newest version per key; on a tie the stable sort keeps the groomed one."""
         u = self.query_naive(eq_values, sort_lo, sort_hi, query_ts)
-        n = len(u["begin_ts"])
-        keys = {}
-        spec = self.spec
-        for i in range(n):
-            k = tuple(int(u[c][i]) for c in spec.eq_cols + spec.sort_cols)
-            if k not in keys or int(u["begin_ts"][i]) > int(u["begin_ts"][keys[k]]):
-                keys[k] = i
-        sel = np.asarray(sorted(keys.values()), dtype=np.int64)
+        newest = enc.invert_ts(enc.to_ordered_u64(u["begin_ts"]))
+        order = np.argsort(q.row_keys(self.spec, u, newest), kind="stable")
+        _, first = np.unique(q.row_keys(self.spec, u)[order], return_index=True)
+        sel = np.sort(order[first])
         return {c: v[sel] for c, v in u.items()}

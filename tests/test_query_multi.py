@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import query as q
 from repro.core.index import UmziConfig, UmziIndex
-from repro.core.run import GROOMED, IndexRun, IndexSpec
+from repro.core.run import GROOMED, POSTGROOMED, IndexRun, IndexSpec
 from repro.core.runlist import RunHandle
 from repro.storage import CacheManager, StorageHierarchy, capture_io
 
@@ -55,15 +55,46 @@ def test_range_scan_vs_oracle(method, seed, qts):
             assert got == oracle_scan(df, kv, lo, hi, qts)
 
 
+def whole_rows(res):
+    """Every result column of every row, as a sorted list of tuples."""
+    return sorted(zip(*(res[c].tolist() for c in sorted(res))))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_set_and_pq_methods_agree(seed):
     ix, df = build_workload(seed=seed)
     for kv in range(0, 40, 5):
         a = q.range_scan(ix, (kv,), (0,), (19,), 2**62, method="set")
         b = q.range_scan(ix, (kv,), (0,), (19,), 2**62, method="pq")
-        ka = sorted(zip(a["s"].tolist(), a["begin_ts"].tolist()))
-        kb = sorted(zip(b["s"].tolist(), b["begin_ts"].tolist()))
-        assert ka == kb
+        assert sorted(a) == sorted(b)
+        assert whole_rows(a) == whole_rows(b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cross_zone_ties_return_groomed_rid(seed):
+    """Mid-evolve (step 1 done, covered gbid not yet bumped) the PG run
+    repeats the groomed versions of gbids 0–1 with PG RIDs; both methods
+    must answer every duplicated key with the groomed RID (§5.4)."""
+    ix, df = build_workload(n_runs=4, seed=seed)
+    mig = df[df.ts < (2 << 16)]
+    n = len(mig)
+    ix.postgroomed.prepend(RunHandle(IndexRun.build(
+        SPEC, zone=POSTGROOMED, level=6, gbid_lo=0, gbid_hi=1,
+        eq={"k": mig.k.values}, sorts={"s": mig.s.values}, begin_ts=mig.ts.values,
+        rid_zone=np.ones(n), rid_block=np.zeros(n), rid_off=np.arange(n),
+        includes={"v": mig.v.values},
+    )))
+    duplicated = 0
+    for kv in range(40):
+        a = q.range_scan(ix, (kv,), (0,), (19,), 2**62, method="set")
+        b = q.range_scan(ix, (kv,), (0,), (19,), 2**62, method="pq")
+        assert whole_rows(a) == whole_rows(b)
+        got = sorted(zip(a["s"].tolist(), a["begin_ts"].tolist(), a["v"].tolist()))
+        assert got == oracle_scan(df, kv, 0, 19, 2**62)
+        dup = np.isin(a["begin_ts"], mig.ts.values)
+        duplicated += int(dup.sum())
+        assert (a["rid_zone"][dup] == 0).all()
+    assert duplicated > 0
 
 
 def test_range_scan_unknown_method():

@@ -105,3 +105,32 @@ def test_correct_union_matches_umzi():
         assert sorted(zip(a["s"].tolist(), a["begin_ts"].tolist())) == sorted(
             zip(b["s"].tolist(), b["begin_ts"].tolist())
         )
+
+
+def loop_reference(u, key):
+    """Row-at-a-time max-beginTS per key; a tie keeps the earlier row."""
+    keep = {}
+    for i in range(len(u["begin_ts"])):
+        k = tuple(int(u[c][i]) for c in key)
+        if k not in keep or int(u["begin_ts"][i]) > int(u["begin_ts"][keep[k]]):
+            keep[k] = i
+    sel = sorted(keep.values())
+    return {c: v[sel] for c, v in u.items()}
+
+
+def test_query_correct_equals_loop_reference_at_edge_values():
+    """Every pair of int64 edge values as the groomed and the PG beginTS
+    of one key, ties included: the vectorized reconciliation equals the
+    row loop (a tie keeps the groomed RID)."""
+    edge = [-(2**63), -(2**63) + 1, -1, 0, 1, 255, 256, 2**63 - 1]
+    k, s = np.repeat(edge, 8), np.tile(edge, 8)
+    sep = SeparateZoneIndexes(SPEC, CFG)
+    sep.add_groomed_run(groomed_run(pd.DataFrame({"k": k, "s": s, "ts": k}), 0))
+    sep.add_postgroomed_run(pg_run(pd.DataFrame({"k": k, "s": s, "ts": s}), 0, 0))
+    for kv in edge:
+        for qts in (2**63 - 1, 0):
+            u = sep.query_naive((kv,), None, None, qts)
+            want = loop_reference(u, ("k", "s"))
+            got = sep.query_correct((kv,), None, None, qts)
+            for c in u:
+                assert got[c].tolist() == want[c].tolist(), c
