@@ -9,9 +9,12 @@ for every column). The order-preserving trick is the standard sign-flip:
 ``uint64(x) ^ 2^63`` maps signed int64 order onto unsigned order, and a
 big-endian byte dump of a uint64 compares bytewise exactly like the
 integer. :func:`memcmp_keys` dumps whole key columns that way, one
-fixed-width byte string per row, and the search kernel binary-searches
-those strings; ``key_bytes`` is its scalar form, used by tests to prove
-that bytewise order equals tuple order.
+fixed-width byte string per row: an index run stores its ordering fields
+in exactly this form (``repro.core.run``), and :func:`key_words` views
+such strings back as their uint64 fields without a copy. The search
+kernel binary-searches the stored strings and encodes only its probes;
+``key_bytes`` is the scalar form, used by tests to prove that bytewise
+order equals tuple order.
 
 beginTS is sorted *descending* (paper §4.2: "to facilitate the access of
 more recent versions"): we encode it as the bitwise complement so that a
@@ -95,3 +98,10 @@ def memcmp_keys(cols: list[np.ndarray]) -> np.ndarray:
     for i, c in enumerate(cols):
         out[:, i] = c
     return out.view(f"S{8 * len(cols)}").ravel()
+
+
+def key_words(keys: np.ndarray) -> np.ndarray:
+    """The 8-byte words of contiguous :func:`memcmp_keys`, as a zero-copy
+    ``(len(keys), itemsize // 8)`` big-endian uint64 view: column i is the
+    key's i-th column."""
+    return keys.view(">u8").reshape(len(keys), keys.itemsize // 8)

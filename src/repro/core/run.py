@@ -8,28 +8,33 @@ physically stored as one **header block** (metadata, the groomed-block-ID
 range this run covers, a per-key-column min/max **synopsis**, and a
 2ⁿ-entry **hash offset array**) plus fixed-size **data blocks**.
 
-All ordering columns are kept in order-preserving uint64 encodings
-(:mod:`repro.core.encoding`), so an ascending ``np.lexsort`` produces
-exactly the paper's order — hash, equality columns, sort columns, and
-*descending* beginTS (the timestamp is stored complemented).
+All ordering fields — hash, equality columns, sort columns, and
+*descending* beginTS (the timestamp is stored complemented) — are kept
+in order-preserving uint64 encodings (:mod:`repro.core.encoding`) and
+stored once per row as the §4.2 memcmp key: the fields' big-endian
+8-byte words, row-major, in one fixed-width bytes column ``cols[KEY]``
+whose bytewise order is the paper's order. ``cols["h"]``, ``cols["k0"]``
+… ``cols["t"]`` are zero-copy strided ``>u8`` views of that column. A
+data block holds the rows' stored keys, then ``z, b, o, i…`` column by
+column; decoding it copies nothing.
 
 Every search — a range scan's bounds, a point lookup, a batch of point
 lookups — goes through one kernel, ``IndexRun._locate``: the offset array
 (most-significant ``hash_bits`` of each probe hash) gives the initial
 row range, the data blocks are binary-searched, and one vectorized
-``np.searchsorted`` over the rows' memcmp keys places all pending probes.
-Rows are read only through a per-query ``BlockSource``
-(:mod:`repro.storage.cache`), which reads each data block once. A range
-scan then filters ``beginTS <= queryTS`` and keeps the first (= most
-recent) entry per key — the worked example of Fig. 2 in the paper is
-test-encoded in ``tests/test_run_search.py``.
+``np.searchsorted`` over each touched block's stored keys places all
+pending probes; only the probes are encoded. Rows are read only through
+a per-query ``BlockSource`` (:mod:`repro.storage.cache`), which reads
+each data block once. A range scan then filters ``beginTS <= queryTS``
+and keeps the first (= most recent) entry per key — the worked example
+of Fig. 2 in the paper is test-encoded in ``tests/test_run_search.py``.
 """
 from __future__ import annotations
 
-import io
 import json
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,6 +51,8 @@ POSTGROOMED = "postgroomed"
 ZONE_CODES = {GROOMED: 0, POSTGROOMED: 1}
 
 _U64_MAX = np.iinfo(np.uint64).max
+
+KEY = "key"  # the stored memcmp key column (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,10 @@ class IndexSpec:
     def key_cols(self) -> tuple[str, ...]:
         return self.eq_cols + self.sort_cols
 
-    @property
+    @cached_property
     def fields(self) -> tuple[str, ...]:
-        """Physical column order inside a data block (all uint64)."""
+        """Every field of an entry (all uint64): the ordering fields (stored
+        as the memcmp key), then ``z, b, o`` (the RID) and the includes."""
         return (
             ("h",)
             + tuple(f"k{i}" for i in range(len(self.eq_cols)))
@@ -111,12 +119,19 @@ class IndexSpec:
 def key_fields(spec: IndexSpec) -> tuple[str, ...]:
     """The fields that order a run: hash, equality, sort columns, then
     inverted beginTS — newest version of a key first (§4.2)."""
-    return (
-        ("h",)
-        + tuple(f"k{i}" for i in range(len(spec.eq_cols)))
-        + tuple(f"s{i}" for i in range(len(spec.sort_cols)))
-        + ("t",)
-    )
+    return spec.fields[: len(spec.key_cols) + 2]
+
+
+def stored_fields(spec: IndexSpec) -> tuple[str, ...]:
+    """The columns a run stores, in data-block order: ``KEY``, ``z, b, o, i…``."""
+    return (KEY,) + spec.fields[len(spec.key_cols) + 2 :]
+
+
+def with_key_views(spec: IndexSpec, cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``cols`` (the :func:`stored_fields`) plus each key field as a
+    zero-copy strided ``>u8`` view of the stored key ``cols[KEY]``."""
+    words = enc.key_words(cols[KEY])
+    return {**cols, **{f: words[:, i] for i, f in enumerate(key_fields(spec))}}
 
 
 def encode_keys(eq: list, sort: list, n: int) -> list[np.ndarray]:
@@ -176,12 +191,13 @@ class IndexRun:
         self.level = level
         self.gbid_lo = gbid_lo
         self.gbid_hi = gbid_hi
-        self.cols = cols  # encoded uint64 columns, keyed by spec.fields
+        self.cols = with_key_views(spec, cols)
         self.offset_array = offset_array
         self.synopsis = synopsis
         self.ancestors = tuple(ancestors)
-        self.n_entries = 0 if not cols else len(next(iter(cols.values())))
+        self.n_entries = len(cols[KEY])
         self.key_fields = key_fields(spec)
+        self._ends = np.append(offset_array, self.n_entries)  # bucket i: [ends[i], ends[i+1])
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -217,30 +233,25 @@ class IndexRun:
 
         eq_arrays = [np.asarray(eq[c], dtype=np.int64) for c in spec.eq_cols]
         sort_arrays = [np.asarray(sorts[c], dtype=np.int64) for c in spec.sort_cols]
-        order_fields = key_fields(spec)
-        cols: dict[str, np.ndarray] = dict(
-            zip(order_fields, encode_keys(eq_arrays, sort_arrays, n))
-        )
-        cols["t"] = enc.invert_ts(enc.to_ordered_u64(np.asarray(begin_ts, np.int64)))
-        cols["z"] = np.asarray(rid_zone, dtype=np.uint64)
-        cols["b"] = np.asarray(rid_block, dtype=np.uint64)
-        cols["o"] = np.asarray(rid_off, dtype=np.uint64)
-        for i, c in enumerate(spec.include_cols):
-            cols[f"i{i}"] = enc.to_ordered_u64(np.asarray(includes[c], np.int64))
+        order = encode_keys(eq_arrays, sort_arrays, n) + [
+            enc.invert_ts(enc.to_ordered_u64(np.asarray(begin_ts, np.int64)))
+        ]
+        rest = [np.asarray(c, dtype=np.uint64) for c in (rid_zone, rid_block, rid_off)] + [
+            enc.to_ordered_u64(np.asarray(includes[c], np.int64)) for c in spec.include_cols
+        ]
 
-        # np.lexsort sorts by the *last* key first → reverse priority order.
-        perm = np.lexsort([cols[f] for f in reversed(order_fields)])
-        cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
+        # np.lexsort (last key first) beats sorting packed keys on unsorted
+        # input; packing the sorted fields, not permuting packed keys, saves RSS.
+        perm = np.lexsort(order[::-1])
+        order = [c[perm] for c in order]
+        offset_array = cls._offsets(order[0], spec.hash_bits)
+        cols = {KEY: enc.memcmp_keys(order)}
+        cols.update((f, c[perm]) for f, c in zip(stored_fields(spec)[1:], rest))
 
-        offset_array = cls._offsets(cols["h"], spec.hash_bits)
-        synopsis = {}
-        for name, arr in list(zip(spec.eq_cols, eq_arrays)) + list(
-            zip(spec.sort_cols, sort_arrays)
-        ):
-            if n:
-                synopsis[name] = (int(arr.min()), int(arr.max()))
-            else:
-                synopsis[name] = (0, -1)  # empty range
+        synopsis = {  # (0, -1): an empty range
+            c: (int(arr.min()), int(arr.max())) if n else (0, -1)
+            for c, arr in zip(spec.key_cols, eq_arrays + sort_arrays)
+        }
 
         return cls(
             spec,
@@ -285,21 +296,21 @@ class IndexRun:
         zone = runs[0].zone
         if any(r.zone != zone for r in runs):
             raise ValueError("Umzi only merges runs within the same zone (§4.3)")
+        # The inputs are sorted runs, which a stable sort (timsort) of the
+        # concatenated keys finds and merges; equal keys keep input order.
+        key = np.concatenate([r.cols[KEY] for r in runs])
+        perm = np.argsort(key, kind="stable")
         cols = {
-            f: np.concatenate([r.cols[f] for r in runs]) for f in spec.fields
+            f: np.concatenate([r.cols[f] for r in runs])[perm]
+            for f in stored_fields(spec)[1:]
         }
-        order_fields = key_fields(spec)
-        perm = np.lexsort([cols[f] for f in reversed(order_fields)])
-        cols = {f: np.ascontiguousarray(cols[f][perm]) for f in spec.fields}
-        n = len(perm)
-        if n:
-            dup = np.ones(n, dtype=bool)
-            same = np.ones(n - 1, dtype=bool)
-            for f in order_fields + ("z", "b", "o"):
-                same &= cols[f][1:] == cols[f][:-1]
-            dup[1:] = ~same
-            if not dup.all():
-                cols = {f: np.ascontiguousarray(a[dup]) for f, a in cols.items()}
+        cols[KEY] = key[perm]
+        same = cols[KEY][1:] == cols[KEY][:-1]
+        for f in ("z", "b", "o"):
+            same &= cols[f][1:] == cols[f][:-1]
+        if same.any():
+            keep = np.concatenate(([True], ~same))
+            cols = {f: a[keep] for f, a in cols.items()}
         gbid_lo = min(r.gbid_lo for r in runs)
         gbid_hi = max(r.gbid_hi for r in runs)
         synopsis = {}
@@ -316,7 +327,7 @@ class IndexRun:
             gbid_lo=gbid_lo,
             gbid_hi=gbid_hi,
             cols=cols,
-            offset_array=cls._offsets(cols["h"], spec.hash_bits),
+            offset_array=cls._offsets(enc.key_words(cols[KEY])[:, 0], spec.hash_bits),
             synopsis=synopsis,
             ancestors=ancestors,
         )
@@ -370,44 +381,56 @@ class IndexRun:
         and ``'left'`` for the others, reading only the data blocks the
         search touches. Also returns the end of each probe's hash bucket.
 
-        The offset array bounds each probe to the rows whose hash shares
-        its top ``hash_bits`` (§4.2), its bucket. A bucket spanning several
+        Only the probes are encoded: a prefix probe is padded to a full key
+        with 0x00 bytes (a 'left' bound) or 0xFF bytes (a 'right' bound),
+        which places it before or after every row sharing its prefix. The
+        offset array bounds each probe to the rows whose hash shares its
+        top ``hash_bits`` (§4.2), its bucket. A bucket spanning several
         blocks is bisected on the blocks' first keys, one block per step,
         so a probe reads at most ⌈log₂B⌉ + 1 of B blocks. One
-        ``searchsorted`` over the memcmp keys of each remaining block then
-        places all of its probes; ``src`` reads each block once however
-        many probes touch it (§8.3.2).
+        ``searchsorted`` per side over each remaining block's stored keys
+        then places all of its probes, in place; ``src`` reads each block
+        once however many probes touch it (§8.3.2).
         """
         br = self.spec.block_rows
-        fields = self.key_fields[: len(keys)]
-        probe = enc.memcmp_keys(keys)
-        ends = np.concatenate((self.offset_array, [self.n_entries]))
-        top = (keys[0] >> np.uint64(64 - self.spec.hash_bits)).astype(np.intp)
-        a, b = ends[top], ends[top + 1]
+        pad = [np.where(right, np.uint64(_U64_MAX), np.uint64(0))]
+        probe = enc.memcmp_keys(keys + pad * (len(self.key_fields) - len(keys)))
+        h = keys[0]
+        top = (h >> np.uint64(64 - self.spec.hash_bits)).astype(np.intp)
+        a, b = self._ends[top], self._ends[top + 1]
         pos = a.copy()  # an empty bucket is its own insertion point
         live = np.flatnonzero(a < b)
+        if not len(live):
+            return pos, b
         lo, hi = a[live] // br, (b[live] - 1) // br
         while True:
             act = np.flatnonzero(lo < hi)
             if not len(act):
                 break
             mid = (lo[act] + hi[act] + 1) // 2
-            heads = src.take(mid * br, fields)
-            first = enc.memcmp_keys([heads[f] for f in fields])
+            first = src.take(mid * br, (KEY,))[KEY]
             p = probe[live[act]]
             before = (first > p) | ((first == p) & ~right[live[act]])
             lo[act] = np.where(before, lo[act], mid)
             hi[act] = np.where(before, mid - 1, hi[act])
-        for j in np.unique(lo).tolist():
-            g = live[lo == j]
-            r0 = max(int(a[g].min()), j * br)
-            r1 = min(int(b[g].max()), (j + 1) * br)
-            blk = src.block(j)
-            rows = enc.memcmp_keys([blk[f][r0 - j * br : r1 - j * br] for f in fields])
-            pos[g] = r0 + np.searchsorted(rows, probe[g], "left")
-            g = g[right[g]]
-            if len(g):
-                pos[g] = r0 + np.searchsorted(rows, probe[g], "right")
+        # Group the probes by block once: each group's rows are the union
+        # of its probes' buckets within the block. Within a group, probes
+        # in hash order let searchsorted walk the block's keys in order.
+        order = np.lexsort((h[live], lo))
+        live, lo = live[order], lo[order]
+        start = np.flatnonzero(np.concatenate(([True], lo[1:] != lo[:-1])))
+        blocks = lo[start]
+        r0 = np.maximum(np.minimum.reduceat(a[live], start), blocks * br).tolist()
+        r1 = np.minimum(np.maximum.reduceat(b[live], start), blocks * br + br).tolist()
+        bounds = start.tolist() + [len(live)]
+        any_right = right.any()
+        for i, j in enumerate(blocks.tolist()):
+            g = live[bounds[i] : bounds[i + 1]]
+            rows = src.block(j)[KEY][r0[i] - j * br : r1[i] - j * br]
+            pos[g] = r0[i] + np.searchsorted(rows, probe[g], "left")
+            if any_right:
+                g = g[right[g]]
+                pos[g] = r0[i] + np.searchsorted(rows, probe[g], "right")
         return pos, b
 
     def probe(
@@ -430,14 +453,14 @@ class IndexRun:
         ts = np.full(n, _ts_key(query_ts), np.uint64)
         pos, end = self._locate(src, keys + [ts], np.zeros(n, dtype=bool))
         cand = np.flatnonzero(pos < end)
-        sub = src.take(pos[cand], self.key_fields[:-1])
+        # A hit is a stored key whose words before ``t`` are the probe's key.
+        stored = enc.key_words(src.take(pos[cand], (KEY,))[KEY])[:, :-1]
         hit = np.zeros(n, dtype=bool)
-        hit[cand] = np.logical_and.reduce(
-            [sub[f] == k[cand] for f, k in zip(self.key_fields, keys)]
-        )
+        hit[cand] = (stored == np.column_stack(keys)[cand]).all(1)
         if not hit.any():
             return self._empty_result(), hit
-        return self._decode(src.take(np.unique(pos[hit]))), hit
+        rows = src.take(np.unique(pos[hit]), stored_fields(self.spec))
+        return self._decode(with_key_views(self.spec, rows)), hit
 
     def search(
         self,
@@ -464,46 +487,31 @@ class IndexRun:
         # Two probes on the prefix (hash, eq…, s0): the lower bound (side
         # 'left') and the upper bound (side 'right'); an unbounded side
         # takes s0's extreme value.
-        def s0(bound, pad):
-            if bound is None:
-                return pad
-            return enc.to_ordered_u64(np.asarray(bound[:1], np.int64))[0]
-
-        keys = encode_keys([[v, v] for v in eq_values or ()], [], 2)
-        if spec.sort_cols:
-            keys.append(np.asarray([s0(sort_lo, 0), s0(sort_hi, _U64_MAX)], np.uint64))
+        lo = -(2**63) if sort_lo is None else sort_lo[0]
+        hi = 2**63 - 1 if sort_hi is None else sort_hi[0]
+        keys = encode_keys([[v, v] for v in eq_values or ()], [[lo, hi]] if spec.sort_cols else [], 2)
         (a, b), _end = self._locate(src, keys, np.asarray([False, True]))
         if a >= b:
             return self._empty_result()
         sub = src.slice(a, b)
 
-        # Remaining sort columns (beyond s0) get an exact tuple filter.
-        if len(spec.sort_cols) > 1 and (sort_lo is not None or sort_hi is not None):
-            keep = np.ones(b - a, dtype=bool)
-            for i in range(1, len(spec.sort_cols)):
-                col = enc.from_ordered_u64(sub[f"s{i}"])
-                if sort_lo is not None and len(sort_lo) > i:
-                    keep &= col >= int(sort_lo[i])
-                if sort_hi is not None and len(sort_hi) > i:
-                    keep &= col <= int(sort_hi[i])
-            sub = {f: v[keep] for f, v in sub.items()}
-
+        # Visible versions only; sort columns beyond s0 get an exact filter.
         keep = sub["t"] >= _ts_key(query_ts)
-        sub = {f: v[keep] for f, v in sub.items()}
-        m = len(sub["t"])
-        if m == 0:
+        for i in range(1, len(spec.sort_cols)):
+            col = enc.from_ordered_u64(sub[f"s{i}"])
+            if sort_lo is not None and len(sort_lo) > i:
+                keep &= col >= int(sort_lo[i])
+            if sort_hi is not None and len(sort_hi) > i:
+                keep &= col <= int(sort_hi[i])
+        rows = np.flatnonzero(keep)
+        if not len(rows):
             return self._empty_result()
 
-        # First entry per key == most recent visible version (ts sorted desc).
-        key_cols = self.key_fields[1:-1]
-        first = np.ones(m, dtype=bool)
-        if m > 1 and key_cols:
-            same = np.ones(m - 1, dtype=bool)
-            for f in key_cols:
-                same &= sub[f][1:] == sub[f][:-1]
-            first[1:] = ~same
-        sub = {f: v[first] for f, v in sub.items()}
-        return self._decode(sub)
+        # First entry per key == most recent visible version (ts sorted
+        # desc): the first row whose stored key differs before ``t``.
+        w = enc.key_words(sub[KEY])[rows, :-1]
+        rows = rows[np.concatenate(([True], (w[1:] != w[:-1]).any(1)))]
+        return self._decode(with_key_views(spec, {f: sub[f][rows] for f in stored_fields(spec)}))
 
     def lookup(
         self,
@@ -560,23 +568,23 @@ class IndexRun:
         }
 
     def block_bytes(self, i: int) -> bytes:
-        """Serialize data block i: each field's row-slice, concatenated."""
+        """Serialize data block i: the rows' stored keys (row-major), then
+        each other field's row-slice, concatenated."""
         a = i * self.spec.block_rows
         b = min(self.n_entries, a + self.spec.block_rows)
-        buf = io.BytesIO()
-        for f in self.spec.fields:
-            buf.write(np.ascontiguousarray(self.cols[f][a:b]).tobytes())
-        return buf.getvalue()
+        return b"".join(self.cols[f][a:b].tobytes() for f in stored_fields(self.spec))
 
     @staticmethod
     def decode_block(spec: IndexSpec, data: bytes, rows: int) -> dict[str, np.ndarray]:
-        out = {}
-        off = 0
-        for f in spec.fields:
-            nb = rows * 8
-            out[f] = np.frombuffer(data, dtype=np.uint64, count=rows, offset=off)
-            off += nb
-        return out
+        """Zero-copy views of a data block: the stored key column, its
+        field views, and every other field."""
+        width = 8 * len(key_fields(spec))
+        cols = {KEY: np.frombuffer(data, dtype=f"S{width}", count=rows)}
+        off = rows * width
+        for f in stored_fields(spec)[1:]:
+            cols[f] = np.frombuffer(data, dtype=np.uint64, count=rows, offset=off)
+            off += rows * 8
+        return with_key_views(spec, cols)
 
     @classmethod
     def from_header_and_blocks(
@@ -584,19 +592,10 @@ class IndexRun:
     ) -> "IndexRun":
         """Rebuild a fully-resident run from its persisted form (§5.5)."""
         spec = IndexSpec.from_json(header["spec"])
-        n = header["n_entries"]
-        cols = {f: [] for f in spec.fields}
-        remaining = n
-        for blk in blocks:
-            rows = min(spec.block_rows, remaining)
-            d = cls.decode_block(spec, blk, rows)
-            for f in spec.fields:
-                cols[f].append(d[f])
-            remaining -= rows
-        merged = {
-            f: (np.concatenate(v) if v else np.empty(0, np.uint64))
-            for f, v in cols.items()
-        }
+        n, br = header["n_entries"], spec.block_rows
+        parts = [
+            cls.decode_block(spec, blk, min(br, n - i * br)) for i, blk in enumerate(blocks)
+        ]
         return cls(
             spec,
             run_id=header["run_id"],
@@ -604,14 +603,11 @@ class IndexRun:
             level=header["level"],
             gbid_lo=header["gbid_lo"],
             gbid_hi=header["gbid_hi"],
-            cols=merged,
+            cols={f: np.concatenate([d[f] for d in parts]) for f in stored_fields(spec)},
             offset_array=np.asarray(header["offset_array"], dtype=np.int64),
             synopsis={k: (v[0], v[1]) for k, v in header["synopsis"].items()},
             ancestors=tuple(header["ancestors"]),
         )
-
-    def approx_bytes(self) -> int:
-        return self.n_entries * 8 * len(self.spec.fields)
 
     def header_bytes(self) -> bytes:
         return json.dumps(self.header_json()).encode()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.run import IndexRun
+from repro.core.run import IndexRun, stored_fields, with_key_views
 from repro.storage.tiers import SSD_LATENCY, StorageHierarchy, charge_capture
 
 
@@ -197,7 +197,7 @@ class BlockSource:
             rows = min(self.run.spec.block_rows, self.run.n_entries - a)
             if self.cache is None:
                 blk = {f: col[a : a + rows] for f, col in self.run.cols.items()}
-                charge_capture("ssd", rows * 8 * len(blk), SSD_LATENCY)
+                charge_capture("ssd", rows * 8 * len(self.fields), SSD_LATENCY)
             else:
                 data = self.cache.read_block(self.run.run_id, bi)
                 blk = IndexRun.decode_block(self.run.spec, data, rows)
@@ -211,10 +211,10 @@ class BlockSource:
             (self.block(bi), max(a - bi * br, 0), min(b - bi * br, br))
             for bi in range(a // br, (b - 1) // br + 1)
         ]
-        return {
+        return with_key_views(self.run.spec, {
             f: np.concatenate([blk[f][lo:hi] for blk, lo, hi in parts])
-            for f in self.fields
-        }
+            for f in stored_fields(self.run.spec)
+        })
 
     def take(self, rows: np.ndarray, fields=None) -> dict[str, np.ndarray]:
         """``fields`` (default: all) at the row positions ``rows``."""
@@ -227,7 +227,7 @@ class BlockSource:
             return {f: self.run.cols[f][rows] for f in fields}
         if len(parts) == 1:
             return {f: parts[0][f][rows - touched[0] * br] for f in fields}
-        out = {f: np.empty(len(rows), np.uint64) for f in fields}
+        out = {f: np.empty(len(rows), self.run.cols[f].dtype) for f in fields}
         for bi, blk in zip(touched, parts):
             at = blocks == bi
             for f in fields:
